@@ -18,7 +18,7 @@
 
 #include "core/brute.h"
 #include "core/expand.h"
-#include "core/output_reader.h"
+#include "core/result_cursor.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/dataset.h"

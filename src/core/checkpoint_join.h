@@ -2,15 +2,10 @@
 #define CSJ_CORE_CHECKPOINT_JOIN_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,11 +36,11 @@
 /// resumed output is **byte-identical** to an uninterrupted run, no matter
 /// when (or how often) the run was killed.
 ///
-/// Parallel mode (threads > 1) runs *rounds*: each round takes the next
-/// `threads * tasks_per_thread` tasks, statically assigns task index i to
-/// worker i % threads, runs the workers on private drivers + MemorySinks,
-/// then replays the buffered output into the real sink in worker order and
-/// checkpoints at the round boundary. Everything about a round is a pure
+/// Execution is parallel_join.h's RunTaskList; this runner only adds the
+/// manifest, the sink and a boundary hook. Serial mode (threads <= 1) may
+/// checkpoint after any task. Parallel mode runs deterministic *rounds*
+/// (static assignment of task i to worker i % threads, replay in worker
+/// order) and checkpoints at every round boundary. A round is a pure
 /// function of (task list, threads), so parallel resumes are byte-identical
 /// too — which is also why a resume must use the same thread count.
 ///
@@ -76,13 +71,9 @@ struct CheckpointJoinOptions {
   /// every round boundary regardless. 0 disables periodic checkpoints —
   /// only cancellation/deadline write one.
   uint64_t checkpoint_interval = 32;
-  /// Worker threads; <= 1 runs serial. A resumed run must use the same
-  /// value (enforced against the manifest).
-  int threads = 1;
-  /// Task granularity: the task list targets
-  /// max(threads, 1) * tasks_per_thread entries, and a parallel round spans
-  /// threads * tasks_per_thread tasks.
-  int tasks_per_thread = 16;
+  /// Worker threads (<= 1 runs serial) and task granularity. A resumed run
+  /// must use the same values (enforced against the manifest).
+  ParallelJoinOptions parallel{.threads = 1};
   /// Continue from manifest_path instead of starting over. Fails cleanly if
   /// the manifest is missing, corrupt, or from a different configuration.
   bool resume = false;
@@ -129,8 +120,9 @@ uint64_t ConfigFingerprint(const Tree& tree, JoinAlgorithm algorithm,
   h = HashCombine(h, static_cast<uint64_t>(spec.format));
   h = HashCombine(h, static_cast<uint64_t>(spec.id_width));
   h = HashCombine(h, static_cast<uint64_t>(spec.count_model));
-  h = HashCombine(h, static_cast<uint64_t>(std::max(ckpt.threads, 1)));
-  h = HashCombine(h, static_cast<uint64_t>(std::max(ckpt.tasks_per_thread, 1)));
+  h = HashCombine(h, static_cast<uint64_t>(std::max(ckpt.parallel.threads, 1)));
+  h = HashCombine(h,
+                  static_cast<uint64_t>(std::max(ckpt.parallel.tasks_per_thread, 1)));
   h = HashCombine(h, tree.size());
   h = HashCombine(h, static_cast<uint64_t>(Tree::kDim));
   return h;
@@ -241,8 +233,6 @@ template <SpatialIndex Tree>
 JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
                                const JoinOptions& options, OutputSpec spec,
                                const CheckpointJoinOptions& ckpt) {
-  using Driver = internal::JoinDriver<Tree, Tree>;
-
   JoinStats failed;
   failed.algorithm = algorithm;
   failed.epsilon = options.epsilon;
@@ -253,19 +243,13 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
         Status::InvalidArgument("CheckpointJoinOptions.manifest_path is empty");
     return failed;
   }
-  const int threads = std::max(ckpt.threads, 1);
-  if (threads > 1 && options.tracker != nullptr) {
-    failed.status = Status::InvalidArgument(
-        "node-access tracking is not supported in parallel mode");
-    return failed;
-  }
+  ParallelJoinOptions parallel = ckpt.parallel;
+  parallel.threads = std::max(parallel.threads, 1);
+  const int threads = parallel.threads;
   if (spec.format != OutputFormat::kNone) spec.checkpointable = true;
 
   const auto tasks = internal::BuildTaskList(
-      tree, options.epsilon,
-      static_cast<size_t>(threads) *
-          static_cast<size_t>(std::max(ckpt.tasks_per_thread, 1)),
-      options.exec);
+      tree, options.epsilon, internal::TaskTarget(parallel), options.exec);
   const uint64_t fingerprint =
       internal::ConfigFingerprint(tree, algorithm, options, spec, ckpt);
   const uint64_t task_hash = internal::TaskListHash(tasks);
@@ -280,17 +264,19 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
       return failed;
     }
     base = std::move(loaded).value();
-    if (base.config_fingerprint != fingerprint) {
-      failed.status = Status::FailedPrecondition(
-          "cannot resume: the checkpoint was written under a different "
-          "configuration (algorithm/epsilon/window/output/threads)");
-      return failed;
-    }
+    // Checked before the fingerprint (which hashes the thread count too) so
+    // the operator learns which knob differs.
     if (base.threads != static_cast<uint32_t>(threads)) {
       failed.status = Status::FailedPrecondition(StrFormat(
           "cannot resume: checkpoint used %u threads, this run %d (the "
           "parallel replay order depends on the thread count)",
           base.threads, threads));
+      return failed;
+    }
+    if (base.config_fingerprint != fingerprint) {
+      failed.status = Status::FailedPrecondition(
+          "cannot resume: the checkpoint was written under a different "
+          "configuration (algorithm/epsilon/window/output/granularity)");
       return failed;
     }
     if (base.total_tasks != tasks.size() || base.task_list_hash != task_hash) {
@@ -332,7 +318,7 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
   WallTimer timer;
 
   // The runner's governance context: deadline + cancel + whatever the caller
-  // installed in options.exec. Polled only between tasks / rounds.
+  // installed in options.exec. Polled only at task / round boundaries.
   ExecContext run_ctx;
   run_ctx.SetParent(options.exec);
   run_ctx.SetDeadlineAfterMs(options.deadline_ms);
@@ -346,16 +332,15 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
   task_options.deadline_ms = 0;
   task_options.exec = &task_ctx;
 
-  uint64_t next_task = ckpt.resume ? base.next_task : 0;
+  const uint64_t first_task = ckpt.resume ? base.next_task : 0;
+  using Boundary = internal::TaskBoundary<Tree>;
 
-  // One manifest writer for both modes. `counters_pending` marks serial
-  // checkpoints, where the driver's bulk-added work counters (join.merges
-  // etc., mirrored into the registry only at Finalize) have not reached the
-  // registry yet and must be folded into the manifest from `fresh` directly.
-  auto save_checkpoint = [&](uint64_t frontier, const JoinStats& fresh,
-                             double fresh_write, bool counters_pending,
-                             std::vector<checkpoint::WindowGroup> window)
-      -> Status {
+  // A serial boundary carries the driver's CSJ(g) window, and the driver's
+  // bulk-added work counters (join.merges etc., mirrored into the registry
+  // only at Finalize) have not reached the registry yet, so they are folded
+  // into the manifest from `work` directly. Parallel workers finalize every
+  // round, and their windows are flushed.
+  auto save_checkpoint = [&](const Boundary& b) -> Status {
     checkpoint::SinkState sink_state;
     CSJ_RETURN_IF_ERROR(sink->Checkpoint(&sink_state));
     checkpoint::Manifest m;
@@ -364,13 +349,15 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
     m.threads = static_cast<uint32_t>(threads);
     m.total_tasks = tasks.size();
     m.task_list_hash = task_hash;
-    m.next_task = frontier;
-    m.stats = internal::ComposeStats(base.stats, fresh,
-                                     timer.ElapsedSeconds(), fresh_write);
+    m.next_task = b.next_task;
+    m.stats = internal::ComposeStats(base.stats, b.work,
+                                     timer.ElapsedSeconds(), b.write_seconds);
     m.sink = sink_state;
-    m.window = std::move(window);
+    if (b.driver != nullptr && algorithm == JoinAlgorithm::kCSJ) {
+      m.window = b.driver->window().ExportState();
+    }
     m.metric_counters = metric_baseline.Compose();
-    if (counters_pending) {
+    if (b.driver != nullptr) {
       auto add = [&m](const char* name, uint64_t v) {
         if (v == 0) return;
         for (auto& [n, value] : m.metric_counters) {
@@ -381,10 +368,10 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
         }
         m.metric_counters.emplace_back(name, v);
       };
-      add("join.distance_computations", fresh.distance_computations);
-      add("join.early_stops", fresh.early_stops);
-      add("join.merge_attempts", fresh.merge_attempts);
-      add("join.merges", fresh.merges);
+      add("join.distance_computations", b.work.distance_computations);
+      add("join.early_stops", b.work.early_stops);
+      add("join.merge_attempts", b.work.merge_attempts);
+      add("join.merges", b.work.merges);
     }
     return checkpoint::Save(ckpt.manifest_path, m);
   };
@@ -419,234 +406,45 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
                   why.message().c_str(), ckpt.manifest_path.c_str()));
   };
 
-  // ==========================================================================
-  // Serial mode: one driver spans every task, so the merge window persists
-  // across task (and checkpoint) boundaries exactly like a plain Run().
-  // ==========================================================================
-  if (threads == 1) {
-    Driver driver(tree, tree, /*self_join=*/true, algorithm, task_options,
-                  sink.get());
-    if (ckpt.resume && algorithm == JoinAlgorithm::kCSJ) {
-      driver.window().RestoreState(base.window);
-    }
-    if (!ckpt.resume && !tasks.empty()) {
+  uint64_t last_checkpoint = first_task;
+  auto on_boundary = [&](const Boundary& b) -> Status {
+    const uint64_t frontier = b.next_task;
+    const bool done = frontier == tasks.size();
+    if (frontier == first_task) {
+      if (ckpt.resume && b.driver != nullptr &&
+          algorithm == JoinAlgorithm::kCSJ) {
+        b.driver->window().RestoreState(base.window);
+      }
       // An initial checkpoint: a run killed before the first periodic
       // checkpoint still resumes instead of silently starting over.
-      const Status s =
-          save_checkpoint(0, driver.mutable_stats(), 0.0, true, {});
-      if (!s.ok()) {
-        failed.status = s;
-        return failed;
-      }
+      if (!ckpt.resume && !done) CSJ_RETURN_IF_ERROR(save_checkpoint(b));
+    } else if (b.driver == nullptr) {
+      CSJ_RETURN_IF_ERROR(save_checkpoint(b));  // every round boundary
     }
-    uint64_t last_checkpoint = next_task;
-    for (; next_task < tasks.size(); ++next_task) {
-      if (const Status why = interrupted(); !why.ok()) {
-        const Status save = save_checkpoint(
-            next_task, driver.mutable_stats(),
-            driver.write_seconds_so_far(), true,
-            algorithm == JoinAlgorithm::kCSJ ? driver.window().ExportState()
-                                             : std::vector<checkpoint::WindowGroup>{});
-        JoinStats out = driver.Finalize(timer);
-        internal::ApplyStatsBase(&out, base.stats);
-        out.status = interruption_status(why, next_task, save);
-        return out;
-      }
-      if (ckpt.checkpoint_interval > 0 &&
-          next_task - last_checkpoint >= ckpt.checkpoint_interval) {
-        const Status save = save_checkpoint(
-            next_task, driver.mutable_stats(),
-            driver.write_seconds_so_far(), true,
-            algorithm == JoinAlgorithm::kCSJ ? driver.window().ExportState()
-                                             : std::vector<checkpoint::WindowGroup>{});
-        if (!save.ok()) {
-          JoinStats out = driver.Finalize(timer);
-          internal::ApplyStatsBase(&out, base.stats);
-          out.status = save;
-          return out;
-        }
-        last_checkpoint = next_task;
-      }
-      driver.RunTask(tasks[static_cast<size_t>(next_task)]);
-      // Sink error or a budget trip: stats report it below, and no further
-      // checkpoint is written — the previous one stays the resume point.
-      if (driver.aborted()) break;
-    }
-    driver.FlushWindow();
-    JoinStats out = driver.Finalize(timer);
-    internal::ApplyStatsBase(&out, base.stats);
-    if (out.status.ok()) out.status = sink->Finish();
-    out.output_bytes = sink->bytes();
-    if (out.status.ok()) {
-      std::remove(ckpt.manifest_path.c_str());
-    }
-    return out;
-  }
-
-  // ==========================================================================
-  // Parallel mode: rounds of threads * tasks_per_thread tasks; static
-  // strided assignment, buffered output replayed in worker order, one
-  // checkpoint per round boundary. Deterministic given (task list, threads).
-  // ==========================================================================
-  if constexpr (!Tree::kThreadSafeReads) {
-    failed.status = Status::InvalidArgument(
-        "this tree type is not safe for concurrent reads; run with "
-        "threads = 1");
-    return failed;
-  } else {
-  const uint64_t round_span =
-      static_cast<uint64_t>(threads) *
-      static_cast<uint64_t>(std::max(ckpt.tasks_per_thread, 1));
-  JoinStats session;  // work counters + implied links of this session
-  session.algorithm = algorithm;
-  double session_write = 0.0;
-
-  if (!ckpt.resume && !tasks.empty()) {
-    const Status s = save_checkpoint(0, session, 0.0, false, {});
-    if (!s.ok()) {
-      failed.status = s;
-      return failed;
-    }
-  }
-
-  while (next_task < tasks.size()) {
+    if (done) return Status::OK();
     if (const Status why = interrupted(); !why.ok()) {
-      const Status save =
-          save_checkpoint(next_task, session, session_write, false, {});
-      JoinStats out = session;
-      out.epsilon = options.epsilon;
-      out.window_size =
-          algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
-      internal::ApplyStatsBase(&out, base.stats);
-      out.links = sink->num_links();
-      out.groups = sink->num_groups();
-      out.group_member_total = sink->group_member_total();
-      out.output_bytes = sink->bytes();
-      out.elapsed_seconds += timer.ElapsedSeconds();
-      out.status = interruption_status(why, next_task, save);
-      return out;
+      return interruption_status(why, frontier, save_checkpoint(b));
     }
-    const uint64_t round_end =
-        std::min<uint64_t>(next_task + round_span, tasks.size());
+    if (b.driver != nullptr && ckpt.checkpoint_interval > 0 &&
+        frontier - last_checkpoint >= ckpt.checkpoint_interval) {
+      CSJ_RETURN_IF_ERROR(save_checkpoint(b));
+      last_checkpoint = frontier;
+    }
+    return Status::OK();
+  };
 
-    std::vector<std::unique_ptr<MemorySink>> worker_sinks;
-    std::vector<JoinStats> worker_stats(static_cast<size_t>(threads));
-    worker_sinks.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      worker_sinks.push_back(std::make_unique<MemorySink>(sink->id_width()));
-    }
-    std::mutex error_mu;
-    Status first_error;
-    auto record_error = [&](const Status& status) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok() && !status.ok()) first_error = status;
-    };
-    {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<size_t>(threads));
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          try {
-            if (CSJ_FAILPOINT("parallel_join.worker")) {
-              throw std::runtime_error("injected worker fault");
-            }
-            Driver driver(tree, tree, /*self_join=*/true, algorithm,
-                          task_options,
-                          worker_sinks[static_cast<size_t>(t)].get());
-            WallTimer worker_timer;
-            for (uint64_t i = next_task + static_cast<uint64_t>(t);
-                 i < round_end; i += static_cast<uint64_t>(threads)) {
-              driver.RunTask(tasks[static_cast<size_t>(i)]);
-              if (driver.aborted()) break;
-            }
-            driver.FlushWindow();
-            worker_stats[static_cast<size_t>(t)] =
-                driver.Finalize(worker_timer);
-            record_error(worker_stats[static_cast<size_t>(t)].status);
-          } catch (const std::exception& e) {
-            record_error(Status::Internal(StrFormat(
-                "checkpointed join worker %d failed: %s", t, e.what())));
-          } catch (...) {
-            record_error(Status::Internal(StrFormat(
-                "checkpointed join worker %d failed with a non-standard "
-                "exception", t)));
-          }
-        });
-      }
-      for (auto& thread : pool) thread.join();
-    }
-    for (const JoinStats& ws : worker_stats) {
-      session.distance_computations += ws.distance_computations;
-      session.kernel_candidates += ws.kernel_candidates;
-      session.kernel_pruned += ws.kernel_pruned;
-      session.kernel_hits += ws.kernel_hits;
-      session.early_stops += ws.early_stops;
-      session.merge_attempts += ws.merge_attempts;
-      session.merges += ws.merges;
-      session_write += ws.write_seconds;
-    }
-    if (!first_error.ok()) {
-      // The round's coverage is incomplete; the sink was never touched, so
-      // the previous checkpoint remains the resume point.
-      JoinStats out = session;
-      internal::ApplyStatsBase(&out, base.stats);
-      out.epsilon = options.epsilon;
-      out.window_size =
-          algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
-      out.links = sink->num_links();
-      out.groups = sink->num_groups();
-      out.group_member_total = sink->group_member_total();
-      out.output_bytes = sink->bytes();
-      out.elapsed_seconds += timer.ElapsedSeconds();
-      out.status = first_error;
-      return out;
-    }
-    // Deterministic replay, worker order — exactly like parallel_join.h.
-    for (int t = 0; t < threads && sink->error().ok(); ++t) {
-      const MemorySink& worker = *worker_sinks[static_cast<size_t>(t)];
-      for (const auto& [a, b] : worker.links()) {
-        if (!sink->error().ok()) break;
-        sink->Link(a, b);
-        if (sink->error().ok()) session.AddImpliedLink();
-      }
-      for (const auto& group : worker.groups()) {
-        if (!sink->error().ok()) break;
-        sink->Group(group);
-        if (sink->error().ok()) session.AddImpliedGroup(group.size());
-      }
-    }
-    if (!sink->error().ok()) break;
-    next_task = round_end;
-    const Status save =
-        save_checkpoint(next_task, session, session_write, false, {});
-    if (!save.ok()) {
-      JoinStats out = session;
-      internal::ApplyStatsBase(&out, base.stats);
-      out.epsilon = options.epsilon;
-      out.window_size =
-          algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
-      out.status = save;
-      out.elapsed_seconds += timer.ElapsedSeconds();
-      return out;
-    }
-  }
-
-  JoinStats out = session;
+  // A sink error or budget trip ends the run without a further checkpoint:
+  // the previous one stays the resume point.
+  JoinStats out =
+      internal::RunTaskList(tree, algorithm, task_options, sink.get(), tasks,
+                            first_task, parallel, on_boundary);
   internal::ApplyStatsBase(&out, base.stats);
-  out.epsilon = options.epsilon;
-  out.window_size = algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
-  out.status = sink->error();
   if (out.status.ok()) out.status = sink->Finish();
-  out.links = sink->num_links();
-  out.groups = sink->num_groups();
-  out.group_member_total = sink->group_member_total();
-  out.output_bytes = sink->bytes();
-  out.elapsed_seconds += timer.ElapsedSeconds();
+  internal::CopyOutputCounters(*sink, &out);
   if (out.status.ok()) {
     std::remove(ckpt.manifest_path.c_str());
   }
   return out;
-  }  // if constexpr (Tree::kThreadSafeReads)
 }
 
 }  // namespace csj

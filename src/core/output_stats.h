@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/output_reader.h"
+#include "core/result_cursor.h"
 #include "core/sink.h"
 #include "geom/point.h"
 

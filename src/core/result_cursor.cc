@@ -330,4 +330,19 @@ Status ReplayResult(ResultCursor* cursor, JoinSink* sink) {
   return cursor->status();
 }
 
+Result<JoinOutput> ReadJoinOutput(const std::string& path) {
+  CSJ_ASSIGN_OR_RETURN(auto cursor, OpenResultCursor(path));
+  JoinOutput output;
+  while (cursor->Next()) {
+    const ResultRecord& record = cursor->record();
+    if (record.is_group) {
+      output.groups.emplace_back(record.ids.begin(), record.ids.end());
+    } else {
+      output.links.emplace_back(record.ids[0], record.ids[1]);
+    }
+  }
+  CSJ_RETURN_IF_ERROR(cursor->status());
+  return output;
+}
+
 }  // namespace csj

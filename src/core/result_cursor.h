@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sink.h"
@@ -92,6 +93,31 @@ Result<std::unique_ptr<ResultCursor>> OpenResultCursor(
 /// matches the producer's, this decodes a binary result back to the
 /// canonical text file byte-for-byte.
 Status ReplayResult(ResultCursor* cursor, JoinSink* sink);
+
+/// Parsed join output, materialized in memory. This is the consumer side of
+/// the storage story — a server (e.g. the NVO scenario in the paper's
+/// introduction) persists the compact output, then re-reads and expands it
+/// when the client finally retrieves the result. Prefer a cursor when the
+/// result may not fit in memory.
+struct JoinOutput {
+  std::vector<std::pair<PointId, PointId>> links;
+  std::vector<std::vector<PointId>> groups;
+
+  /// Total number of links the output implies (links + sum of C(k,2)),
+  /// counting duplicates implied by overlapping groups.
+  uint64_t ImpliedLinks() const {
+    uint64_t total = links.size();
+    for (const auto& g : groups) {
+      total += g.size() * (g.size() - 1) / 2;
+    }
+    return total;
+  }
+};
+
+/// Reads a whole join-output file (text or CSJ2, sniffed like
+/// OpenResultCursor). Lines with fewer than two ids are rejected (a single
+/// id implies nothing and is never emitted by the writers).
+Result<JoinOutput> ReadJoinOutput(const std::string& path);
 
 }  // namespace csj
 

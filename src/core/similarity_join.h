@@ -2,7 +2,6 @@
 #define CSJ_CORE_SIMILARITY_JOIN_H_
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -36,6 +35,14 @@
 namespace csj {
 
 namespace internal {
+
+/// Copies the output counters the sink confirmed into `stats`.
+inline void CopyOutputCounters(const JoinSink& sink, JoinStats* stats) {
+  stats->links = sink.num_links();
+  stats->groups = sink.num_groups();
+  stats->group_member_total = sink.group_member_total();
+  stats->output_bytes = sink.bytes();
+}
 
 /// One join execution. TreeA and TreeB must share a bounding-shape type
 /// (Box with Box, Ball with Ball); for self-joins they are the same tree.
@@ -82,44 +89,13 @@ class JoinDriver {
         algorithm == JoinAlgorithm::kCSJ ? options.window_size : 0;
   }
 
-  /// One unit of work for the parallel driver: a single-subtree self-join
-  /// (second == kInvalidNode) or a qualifying subtree pair.
+  /// One unit of work for the task executor (core/parallel_join.h): a
+  /// single-subtree self-join (second == kInvalidNode) or a qualifying
+  /// subtree pair.
   struct Task {
     NodeId first = kInvalidNode;
     NodeId second = kInvalidNode;
   };
-
-  /// Installs an external cancellation flag: when it becomes true the
-  /// traversal unwinds at the next node visit (used by the parallel join to
-  /// stop all workers once one of them fails).
-  void SetCancelFlag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-
-  /// Processes tasks pulled from a shared cursor (used by the parallel
-  /// join; each worker owns one driver + sink). Self-join trees only.
-  JoinStats RunTasks(const std::vector<Task>& tasks,
-                     std::atomic<size_t>* cursor) {
-    WallTimer timer;
-    CSJ_CHECK(self_join_);
-    uint64_t tasks_processed = 0;
-    while (!Aborted()) {
-      const size_t index = cursor->fetch_add(1, std::memory_order_relaxed);
-      if (index >= tasks.size()) break;
-      const Task& task = tasks[index];
-      ++tasks_processed;
-      if (task.second == kInvalidNode) {
-        SelfJoin(task.first);
-      } else {
-        SelfDualJoin(task.first, task.second);
-      }
-      // Tasks stay atomic units of progress: nothing deferred leaks across
-      // a task boundary.
-      DrainLeafBatch();
-    }
-    if (algorithm_ == JoinAlgorithm::kCSJ) window_.Flush();
-    CSJ_METRIC_HIST("parallel.tasks_per_worker", tasks_processed);
-    FinalizeStats(timer);
-    return stats_;
-  }
 
   JoinStats Run() {
     WallTimer timer;
@@ -141,12 +117,13 @@ class JoinDriver {
     return stats_;
   }
 
-  // --- Checkpointed execution (core/checkpoint_join.h) ----------------------
+  // --- Task execution (core/parallel_join.h) --------------------------------
   //
-  // The checkpoint runner drives tasks one at a time so it can snapshot the
-  // frontier between them: tasks are *atomic* units of progress — a cancel
-  // (signal, deadline) takes effect at the next task boundary, never mid-
-  // task, so the sink always sits at a position the task list can describe.
+  // The task executor drives tasks one at a time so a checkpoint runner can
+  // snapshot the frontier between them: tasks are *atomic* units of progress
+  // — a cancel (signal, deadline) takes effect at the next task boundary,
+  // never mid-task, so the sink always sits at a position the task list can
+  // describe.
 
   /// Runs one task of the deterministic task list (parallel_join.h's
   /// BuildTaskList). Self-join trees only.
@@ -173,9 +150,9 @@ class JoinDriver {
 
   /// Work counters accumulated by this driver so far (fresh counters only —
   /// a resumed run's base is composed by the checkpoint runner).
-  JoinStats& mutable_stats() { return stats_; }
+  const JoinStats& stats() const { return stats_; }
 
-  /// True once the sink errored or the cancel flag fired.
+  /// True once the sink errored or the governance context tripped.
   bool aborted() const { return Aborted(); }
 
   /// Sink time accumulated so far (only meaningful with
@@ -191,15 +168,11 @@ class JoinDriver {
 
  private:
   /// True when the run should stop producing output: the sink hit a sticky
-  /// error (full disk, failed write), an external canceller fired, or the
-  /// governance context tripped (deadline, cancel, memory budget). Checked
-  /// at every node visit, so the traversal unwinds in O(depth) instead of
+  /// error (full disk, failed write) or the governance context tripped
+  /// (deadline, cancel, memory budget, a failed sibling worker). Checked at
+  /// every node visit, so the traversal unwinds in O(depth) instead of
   /// grinding through the remaining pair space.
-  bool Aborted() const {
-    return !sink_->error().ok() ||
-           (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) ||
-           run_ctx_.ShouldStop();
-  }
+  bool Aborted() const { return !sink_->error().ok() || run_ctx_.ShouldStop(); }
 
   void FinalizeStats(const WallTimer& timer) {
     if (LeafKernelUsesBackend(options_.leaf_kernel)) {
@@ -211,10 +184,7 @@ class JoinDriver {
     if (stats_.status.ok()) stats_.status = run_ctx_.status();
     stats_.elapsed_seconds = timer.ElapsedSeconds();
     stats_.write_seconds = write_timer_.TotalSeconds();
-    stats_.links = sink_->num_links();
-    stats_.groups = sink_->num_groups();
-    stats_.group_member_total = sink_->group_member_total();
-    stats_.output_bytes = sink_->bytes();
+    CopyOutputCounters(*sink_, &stats_);
     if (options_.tracker != nullptr) {
       const NodeAccessStats access = options_.tracker->stats();
       stats_.node_accesses = access.node_accesses;
@@ -684,7 +654,6 @@ class JoinDriver {
   double eps_;
   double eps_squared_;
   JoinSink* sink_;
-  const std::atomic<bool>* cancel_ = nullptr;
   JoinStats stats_;
   StopwatchAccumulator write_timer_;
   /// Governance context: layers options.deadline_ms over options.exec.

@@ -25,7 +25,6 @@
 #include "core/group.h"
 #include "core/join_options.h"
 #include "core/parallel_join.h"
-#include "core/output_reader.h"
 #include "core/output_stats.h"
 #include "core/join_stats.h"
 #include "core/query_spec.h"

@@ -107,8 +107,7 @@ class CheckpointJoinTest : public testing::Test {
     CheckpointJoinOptions ckpt;
     ckpt.manifest_path = testing::TempDir() + "/" + name;
     ckpt.checkpoint_interval = 7;
-    ckpt.threads = threads;
-    ckpt.tasks_per_thread = 8;
+    ckpt.parallel = {.threads = threads, .tasks_per_thread = 8};
     cleanup_.push_back(ckpt.manifest_path);
     return ckpt;
   }
@@ -312,15 +311,20 @@ TEST_F(CheckpointJoinTest, ResumeValidatesConfigurationAndManifest) {
   {
     // Different thread count (changes the parallel replay order).
     auto two = ckpt;
-    two.threads = 2;
+    two.parallel.threads = 2;
     const JoinStats stats = CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
                                                  Options(), spec, two);
     EXPECT_EQ(stats.status.code(), StatusCode::kFailedPrecondition);
+    // The specific message names both counts (the fingerprint also hashes
+    // the thread count, so it must not shadow this check).
+    EXPECT_NE(stats.status.message().find("checkpoint used 1 threads, this run 2"),
+              std::string::npos)
+        << stats.status.ToString();
   }
   {
     // Different task granularity (changes the task list).
     auto coarse = ckpt;
-    coarse.tasks_per_thread = 64;
+    coarse.parallel.tasks_per_thread = 64;
     const JoinStats stats = CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
                                                  Options(), spec, coarse);
     EXPECT_EQ(stats.status.code(), StatusCode::kFailedPrecondition);
@@ -384,6 +388,41 @@ TEST_F(CheckpointJoinTest, SinkCrashKeepsManifestAndResumesByteIdentical) {
       CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec, ckpt);
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
   EXPECT_EQ(ReadWholeFile(spec.path), ReadWholeFile(full_spec.path));
+}
+
+TEST_F(CheckpointJoinTest, FailedRoundCheckpointStillReportsTheSinkOutput) {
+  // Regression: when the checkpoint save at a parallel round boundary
+  // failed, the returned links/groups/group_member_total/output_bytes were
+  // all zero although the sink already held the replayed round.
+  auto spec = Spec(OutputFormat::kNone, "unused");
+  spec.path.clear();
+  auto ckpt = Ckpt("ckj_round_save.ckpt", /*threads=*/2);
+  {
+    // Manifest opens: the initial checkpoint, then the first round boundary.
+    failpoint::ScopedFailpoint fp("output_file.open",
+                                  failpoint::Spec::EveryNth(2));
+    const JoinStats stats = CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ,
+                                                 Options(), spec, ckpt);
+    ASSERT_FALSE(stats.status.ok());
+    ASSERT_TRUE(FileExists(ckpt.manifest_path))
+        << "the initial checkpoint must stay the resume point";
+    EXPECT_GT(stats.links + stats.groups, 0u)
+        << "the first round reached the sink";
+    EXPECT_GE(stats.group_member_total, 2 * stats.groups);
+    // The counting sink's text model: every id costs id_width + 1 bytes.
+    EXPECT_EQ(stats.output_bytes,
+              (2 * stats.links + stats.group_member_total) *
+                  static_cast<uint64_t>(spec.id_width + 1));
+    EXPECT_GE(stats.ImpliedLinkUpperBound(), stats.links + stats.groups);
+  }
+  // Resuming from the initial checkpoint still converges on the full run.
+  ckpt.resume = true;
+  const JoinStats resumed =
+      CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec, ckpt);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  const JoinStats full = RunFull(JoinAlgorithm::kCSJ, spec,
+                                 Ckpt("ckj_round_save_full.ckpt", /*threads=*/2));
+  ExpectSameCounters(resumed, full);
 }
 
 TEST_F(CheckpointJoinTest, ProbabilisticTransientFaultsAreAbsorbedByRetry) {

@@ -3,9 +3,10 @@
 #
 # Drives the *real binary* through the failure modes the in-process tests
 # cannot reach: a graceful SIGTERM (final checkpoint, exit 3) and a hard
-# SIGKILL (no chance to react; only the periodic checkpoints survive). After
-# each, `--resume 1` must finish the join and the output must be
-# byte-identical to an uninterrupted run. Usage:
+# SIGKILL (no chance to react; only the periodic checkpoints survive), both
+# serial and with `--threads 2` (round-boundary checkpoints). After each,
+# `--resume 1` must finish the join and the output must be byte-identical to
+# an uninterrupted run with the same thread count. Usage:
 #
 #   checkpoint_resume_smoke.sh /path/to/csj_tool
 set -u
@@ -26,14 +27,16 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 "$TOOL" "${JOIN_ARGS[@]}" --out ref.bin >/dev/null || fail "reference run"
 [ -e ref.bin.ckpt ] && fail "manifest survived a completed run"
 
-# Interrupts a backgrounded join with $1 (TERM|KILL) once the output file
-# shows progress, then asserts on the tool's exit code. Retries in case the
-# run finishes before the signal lands (slow machines, fast disks).
+# Interrupts a backgrounded join (extra join flags after $3) with $1
+# (TERM|KILL) once the output file shows progress, then asserts on the
+# tool's exit code. Retries in case the run finishes before the signal lands
+# (slow machines, fast disks).
 interrupt_with() {
   local sig=$1 out=$2 want_code=$3 attempt
+  shift 3
   for attempt in 1 2 3 4 5; do
     rm -f "$out" "$out.ckpt"
-    "$TOOL" "${JOIN_ARGS[@]}" --out "$out" >/dev/null 2>&1 &
+    "$TOOL" "${JOIN_ARGS[@]}" "$@" --out "$out" >/dev/null 2>&1 &
     local pid=$!
     # Wait until the join has demonstrably started writing AND committed a
     # first checkpoint — a SIGKILL before any manifest exists has nothing to
@@ -73,6 +76,16 @@ interrupt_with KILL kill.bin 137
   || fail "resume after SIGKILL"
 cmp -s ref.bin kill.bin || fail "SIGKILL-resumed output differs from reference"
 
+# --- Parallel rounds: SIGKILL, then resume with the same thread count -------
+"$TOOL" "${JOIN_ARGS[@]}" --threads 2 --out ref2.bin >/dev/null \
+  || fail "threaded reference run"
+interrupt_with KILL kill2.bin 137 --threads 2
+"$TOOL" "${JOIN_ARGS[@]}" --threads 2 --out kill2.bin --resume 1 >/dev/null \
+  || fail "threaded resume after SIGKILL"
+cmp -s ref2.bin kill2.bin \
+  || fail "threaded SIGKILL-resumed output differs from the threaded reference"
+[ -e kill2.bin.ckpt ] && fail "manifest survived the threaded resumed run"
+
 # --- Deadline: exit 4, then resume to the same bytes ------------------------
 rm -f dl.bin dl.bin.ckpt
 "$TOOL" "${JOIN_ARGS[@]}" --out dl.bin --deadline-ms 80 >/dev/null 2>&1
@@ -85,4 +98,4 @@ elif [ "$code" -ne 0 ]; then
   fail "deadline run: unexpected exit $code"
 fi
 
-echo "OK: SIGTERM, SIGKILL and deadline interruptions all resumed byte-identically"
+echo "OK: SIGTERM, SIGKILL (serial and threaded) and deadline interruptions all resumed byte-identically"

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/brute.h"
+#include "core/checkpoint_join.h"
 #include "core/expand.h"
 #include "core/parallel_join.h"
 #include "core/sink.h"
@@ -11,6 +14,7 @@
 #include "index/bulk_load.h"
 #include "index/node_access.h"
 #include "index/rstar_tree.h"
+#include "util/metrics.h"
 
 namespace csj {
 namespace {
@@ -82,7 +86,7 @@ TEST(ParallelJoinTest, LosslessAcrossThreadCounts) {
       parallel.threads = threads;
       MemorySink sink(IdWidthFor(entries.size()));
       const JoinStats stats =
-          ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+          ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
       const auto report = CompareLinkSets(ExpandSelfJoin(sink), reference);
       ASSERT_TRUE(report.lossless())
           << "threads=" << threads << " eps=" << eps << ": "
@@ -95,8 +99,8 @@ TEST(ParallelJoinTest, LosslessAcrossThreadCounts) {
 }
 
 TEST(ParallelJoinTest, OutputAsCompactAsSequentialWithinSlack) {
-  // Group composition differs (windows are per-worker), but the parallel
-  // output should stay in the same compactness ballpark.
+  // Group composition differs (windows are per worker and per round), but
+  // the parallel output should stay in the same compactness ballpark.
   const auto entries = Workload(5000, 11);
   RStarTree<2> tree;
   for (const auto& e : entries) tree.Insert(e.id, e.point);
@@ -108,7 +112,7 @@ TEST(ParallelJoinTest, OutputAsCompactAsSequentialWithinSlack) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   CountingSink parallel_sink(IdWidthFor(entries.size()));
-  ParallelCompactSimilarityJoin(tree, options, &parallel_sink, parallel);
+  ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &parallel_sink, parallel);
 
   EXPECT_LT(parallel_sink.bytes(),
             static_cast<uint64_t>(1.5 * static_cast<double>(sequential.bytes())));
@@ -123,7 +127,7 @@ TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
     RStarTree<2> tree;  // empty
     MemorySink sink(1);
     const JoinStats stats =
-        ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+        ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
     EXPECT_EQ(stats.links + stats.groups, 0u);
   }
   {
@@ -131,7 +135,7 @@ TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
     tree.Insert(0, Point2{{0.5, 0.5}});
     MemorySink sink(1);
     const JoinStats stats =
-        ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+        ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
     EXPECT_EQ(stats.links + stats.groups, 0u);
   }
   {
@@ -139,7 +143,7 @@ TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
     tree.Insert(0, Point2{{0.5, 0.5}});
     tree.Insert(1, Point2{{0.52, 0.5}});
     MemorySink sink(1);
-    ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+    ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
     EXPECT_EQ(ExpandSelfJoin(sink), (std::vector<Link>{{0, 1}}));
   }
 }
@@ -154,7 +158,7 @@ TEST(ParallelJoinTest, MoreThreadsThanTasks) {
   ParallelJoinOptions parallel;
   parallel.threads = 16;
   MemorySink sink(2);
-  ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+  ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
   EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
@@ -167,7 +171,7 @@ TEST(ParallelJoinTest, PackedTreeWorks) {
   JoinOptions options;
   options.epsilon = 0.02;
   MemorySink sink(IdWidthFor(entries.size()));
-  ParallelCompactSimilarityJoin(tree, options, &sink);
+  ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink);
   EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
@@ -183,7 +187,7 @@ TEST(ParallelJoinTest, WindowOptionsRespected) {
   options.promote_on_merge = true;
   options.window_size = 3;
   MemorySink sink(IdWidthFor(entries.size()));
-  const JoinStats stats = ParallelCompactSimilarityJoin(tree, options, &sink);
+  const JoinStats stats = ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink);
   EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
@@ -201,10 +205,17 @@ TEST(ParallelJoinTest, WorkCountersSurviveSinkDeathMidReplay) {
   options.epsilon = 0.04;
   ParallelJoinOptions parallel;
   parallel.threads = 4;
+  // A task list that fits one round: the whole traversal precedes the
+  // replay the sink dies in.
+  parallel.tasks_per_thread = 1 << 16;
+  ASSERT_LE(internal::BuildTaskList(tree, options.epsilon,
+                                    internal::TaskTarget(parallel))
+                .size(),
+            internal::TaskTarget(parallel));
 
   MemorySink healthy(IdWidthFor(entries.size()));
   const JoinStats reference =
-      ParallelCompactSimilarityJoin(tree, options, &healthy, parallel);
+      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &healthy, parallel);
   ASSERT_TRUE(reference.status.ok());
   ASSERT_GT(healthy.num_links() + healthy.num_groups(), 8u)
       << "workload too small to die mid-replay";
@@ -212,7 +223,7 @@ TEST(ParallelJoinTest, WorkCountersSurviveSinkDeathMidReplay) {
   // Die a few writes in: several workers' outputs never reach the sink.
   DyingSink dying(IdWidthFor(entries.size()), 5);
   const JoinStats stats =
-      ParallelCompactSimilarityJoin(tree, options, &dying, parallel);
+      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &dying, parallel);
   EXPECT_FALSE(stats.status.ok());
 
   // The traversal completed before the replay started, so the work counters
@@ -240,7 +251,7 @@ TEST(ParallelJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
   for (uint64_t budget : {0ull, 1ull, 7ull, 100ull}) {
     DyingSink sink(IdWidthFor(entries.size()), budget);
     const JoinStats stats =
-        ParallelCompactSimilarityJoin(tree, options, &sink, parallel);
+        ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
     EXPECT_FALSE(stats.status.ok()) << "budget=" << budget;
     EXPECT_EQ(stats.ImpliedLinkUpperBound(), ImpliedFromRetained(sink))
         << "budget=" << budget;
@@ -258,8 +269,11 @@ TEST(ParallelJoinTest, TrackerRejectedWithStatusNotACrash) {
   JoinOptions options;
   options.epsilon = 0.05;
   options.tracker = &tracker;
+  ParallelJoinOptions parallel;
+  parallel.threads = 4;
   MemorySink sink(IdWidthFor(entries.size()));
-  const JoinStats stats = ParallelCompactSimilarityJoin(tree, options, &sink);
+  const JoinStats stats =
+      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
   ASSERT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(sink.num_links() + sink.num_groups(), 0u);
@@ -270,8 +284,8 @@ TEST(ParallelJoinTest, ImpliedLinkCountConsistentInBothModes) {
   // Property: in either mode the reported implied-link upper bound equals
   // the count recomputed from the emitted output, and it bounds the number
   // of distinct links the output expands to. (Strict parallel==sequential
-  // equality does NOT hold: group composition differs per worker, and
-  // overlapping groups imply different totals.)
+  // equality does NOT hold: group composition differs per worker and round,
+  // and overlapping groups imply different totals.)
   const auto entries = Workload(2500, 37);
   RStarTree<2> tree;
   for (const auto& e : entries) tree.Insert(e.id, e.point);
@@ -291,7 +305,7 @@ TEST(ParallelJoinTest, ImpliedLinkCountConsistentInBothModes) {
   parallel.threads = 4;
   MemorySink par_sink(IdWidthFor(entries.size()));
   const JoinStats par_stats =
-      ParallelCompactSimilarityJoin(tree, options, &par_sink, parallel);
+      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &par_sink, parallel);
   ASSERT_TRUE(par_stats.status.ok());
   EXPECT_EQ(par_stats.ImpliedLinkUpperBound(), ImpliedFromRetained(par_sink));
   EXPECT_GE(par_stats.ImpliedLinkUpperBound(),
@@ -300,6 +314,118 @@ TEST(ParallelJoinTest, ImpliedLinkCountConsistentInBothModes) {
   // Both expansions are the same exact result set.
   EXPECT_EQ(ExpandSelfJoin(sequential).size(), ExpandSelfJoin(par_sink).size());
 }
+
+std::string ReadWholeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return "";
+  std::string content;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    content.append(buf, got);
+  }
+  std::fclose(f);
+  return content;
+}
+
+TEST(ParallelJoinTest, DeterministicForAGivenThreadCount) {
+  // Static round assignment + worker-order replay: repeated runs emit the
+  // same bytes, and the checkpointed runner (same executor, plus a
+  // manifest) emits them too.
+  const auto entries = Workload(5000, 41);
+  RStarTree<2> tree;
+  PackStr(&tree, entries);
+  JoinOptions options;
+  options.epsilon = 0.04;
+  const int id_width = IdWidthFor(entries.size());
+  const std::string dir = testing::TempDir();
+  for (int threads : {2, 4}) {
+    ParallelJoinOptions parallel;
+    parallel.threads = threads;
+    parallel.tasks_per_thread = 4;
+    ASSERT_GT(internal::BuildTaskList(tree, options.epsilon,
+                                      internal::TaskTarget(parallel))
+                  .size(),
+              internal::TaskTarget(parallel))
+        << "workload too small to span several rounds";
+    std::string first;
+    for (int run = 0; run < 3; ++run) {
+      const std::string path = dir + "/csj_par_det.txt";
+      FileSink sink(id_width, path);
+      const JoinStats stats =
+          ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+      ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+      ASSERT_TRUE(sink.Finish().ok());
+      const std::string bytes = ReadWholeFile(path);
+      std::remove(path.c_str());
+      ASSERT_FALSE(bytes.empty());
+      if (run == 0) {
+        first = bytes;
+      } else {
+        EXPECT_EQ(bytes, first) << "threads=" << threads << " run=" << run;
+      }
+    }
+
+    OutputSpec spec;
+    spec.format = OutputFormat::kText;
+    spec.path = dir + "/csj_par_det_ckpt.txt";
+    spec.id_width = id_width;
+    CheckpointJoinOptions ckpt;
+    ckpt.manifest_path = dir + "/csj_par_det.ckpt";
+    ckpt.parallel = parallel;
+    const JoinStats stats =
+        CheckpointedSelfJoin(tree, JoinAlgorithm::kCSJ, options, spec, ckpt);
+    ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+    EXPECT_EQ(ReadWholeFile(spec.path), first) << "threads=" << threads;
+    std::remove(spec.path.c_str());
+  }
+}
+
+#ifndef CSJ_NO_METRICS
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& [counter, value] : metrics::Snapshot().counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+TEST(ParallelJoinTest, ThreadedJoinsRecordParallelMetricsOnce) {
+  const auto entries = Workload(3000, 43);
+  RStarTree<2> tree;
+  PackStr(&tree, entries);
+  JoinOptions options;
+  options.epsilon = 0.04;
+  ParallelJoinOptions parallel;
+  parallel.threads = 3;
+  parallel.tasks_per_thread = 4;
+  const uint64_t tasks =
+      internal::BuildTaskList(tree, options.epsilon, internal::TaskTarget(parallel))
+          .size();
+  ASSERT_GT(tasks, 0u);
+
+  auto expect_one_join = [&](const char* label, const auto& run) {
+    const uint64_t joins = CounterValue("parallel.joins");
+    const uint64_t workers = CounterValue("parallel.workers");
+    const uint64_t tasks_total = CounterValue("parallel.tasks_total");
+    ASSERT_TRUE(run().status.ok()) << label;
+    EXPECT_EQ(CounterValue("parallel.joins"), joins + 1) << label;
+    EXPECT_EQ(CounterValue("parallel.workers"), workers + 3) << label;
+    EXPECT_EQ(CounterValue("parallel.tasks_total"), tasks_total + tasks) << label;
+  };
+  expect_one_join("ParallelSelfJoin", [&] {
+    CountingSink sink(IdWidthFor(entries.size()));
+    return ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+  });
+  expect_one_join("CheckpointedSelfJoin", [&] {
+    OutputSpec spec = OutputSpec::Counting(entries.size());
+    CheckpointJoinOptions ckpt;
+    ckpt.manifest_path = testing::TempDir() + "/csj_par_metrics.ckpt";
+    ckpt.parallel = parallel;
+    return CheckpointedSelfJoin(tree, JoinAlgorithm::kCSJ, options, spec, ckpt);
+  });
+}
+#endif  // CSJ_NO_METRICS
 
 }  // namespace
 }  // namespace csj

@@ -4,9 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/brute.h"
-#include "core/expand.h"
-#include "core/output_reader.h"
 #include "core/similarity_join.h"
 #include "core/sink.h"
 #include "data/generators.h"
@@ -276,81 +273,6 @@ TEST(TreeIoTest, PeekReadsBothVersions) {
     EXPECT_EQ(info->min_fanout, 3u);
     EXPECT_EQ(info->entries, 100u);
   }
-}
-
-// --- Join-output reader ------------------------------------------------------------
-
-TEST(OutputReaderTest, RoundTripThroughFileSink) {
-  const auto entries = RandomEntries<2>(500, 41);
-  RStarTree<2> tree;
-  for (const auto& e : entries) tree.Insert(e.id, e.point);
-  JoinOptions options;
-  options.epsilon = 0.05;
-
-  const std::string path = TempPath("join_output.txt");
-  FileSink sink(IdWidthFor(entries.size()), path);
-  CompactSimilarityJoin(tree, options, &sink);
-  ASSERT_TRUE(sink.Finish().ok());
-
-  auto loaded = ReadJoinOutput(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  // Re-expansion from disk equals the brute-force join.
-  MemorySink replay(IdWidthFor(entries.size()));
-  for (const auto& [a, b] : loaded->links) replay.Link(a, b);
-  for (const auto& g : loaded->groups) replay.Group(g);
-  EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(replay),
-                              BruteForceSelfJoin(entries, options.epsilon))
-                  .lossless());
-}
-
-TEST(OutputReaderTest, ParsesLinksAndGroups) {
-  const std::string path = TempPath("join_mixed.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("0001 0002\n0003 0004 0005\n0006 0007\n", f);
-  std::fclose(f);
-  auto output = ReadJoinOutput(path);
-  ASSERT_TRUE(output.ok());
-  EXPECT_EQ(output->links.size(), 2u);
-  EXPECT_EQ(output->groups.size(), 1u);
-  EXPECT_EQ(output->groups[0], (std::vector<PointId>{3, 4, 5}));
-  EXPECT_EQ(output->ImpliedLinks(), 2u + 3u);
-}
-
-TEST(OutputReaderTest, MissingTrailingNewlineHandled) {
-  const std::string path = TempPath("join_nonewline.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("1 2\n3 4", f);
-  std::fclose(f);
-  auto output = ReadJoinOutput(path);
-  ASSERT_TRUE(output.ok());
-  EXPECT_EQ(output->links.size(), 2u);
-}
-
-TEST(OutputReaderTest, SingletonLineRejected) {
-  const std::string path = TempPath("join_singleton.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("1 2\n7\n", f);
-  std::fclose(f);
-  EXPECT_EQ(ReadJoinOutput(path).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(OutputReaderTest, JunkRejected) {
-  const std::string path = TempPath("join_junk.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("1 2\nhello\n", f);
-  std::fclose(f);
-  EXPECT_EQ(ReadJoinOutput(path).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(OutputReaderTest, EmptyFileOk) {
-  const std::string path = TempPath("join_empty.txt");
-  std::fclose(std::fopen(path.c_str(), "w"));
-  auto output = ReadJoinOutput(path);
-  ASSERT_TRUE(output.ok());
-  EXPECT_EQ(output->links.size() + output->groups.size(), 0u);
 }
 
 }  // namespace

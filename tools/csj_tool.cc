@@ -444,8 +444,8 @@ int CmdJoin(Flags& flags) {
       ckpt.checkpoint_interval = checkpoint_interval < 0
                                      ? uint64_t{32}
                                      : static_cast<uint64_t>(checkpoint_interval);
-      ckpt.threads = spec.threads > 0 ? spec.threads : 1;
-      ckpt.tasks_per_thread = static_cast<int>(tasks_per_thread);
+      ckpt.parallel.threads = spec.threads > 0 ? spec.threads : 1;
+      ckpt.parallel.tasks_per_thread = static_cast<int>(tasks_per_thread);
       ckpt.resume = resume;
       ckpt.cancel = &g_cancel_requested;
       stats = CheckpointedSelfJoin(tree, algorithm, options, out_spec, ckpt);
