@@ -246,6 +246,12 @@ JoinStats CheckpointedSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
   ParallelJoinOptions parallel = ckpt.parallel;
   parallel.threads = std::max(parallel.threads, 1);
   const int threads = parallel.threads;
+  // Rejected before the sink exists: making it would truncate spec.path.
+  if (Status s = internal::CheckParallelSupported<Tree>(options, threads);
+      !s.ok()) {
+    failed.status = s;
+    return failed;
+  }
   if (spec.format != OutputFormat::kNone) spec.checkpointable = true;
 
   const auto tasks = internal::BuildTaskList(

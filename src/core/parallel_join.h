@@ -131,6 +131,25 @@ std::vector<typename JoinDriver<Tree, Tree>::Task> BuildTaskList(
   return tasks;
 }
 
+/// Why `threads` workers cannot run this join, or OK. Trackers are
+/// single-threaded; silently ignoring one would misreport the access counts
+/// the caller asked for.
+template <SpatialIndex Tree>
+Status CheckParallelSupported(const JoinOptions& options, int threads) {
+  if (threads <= 1) return Status::OK();
+  if (options.tracker != nullptr) {
+    return Status::InvalidArgument(
+        "node-access tracking (options.tracker) is not supported in "
+        "parallel mode; run with one thread instead");
+  }
+  if (!Tree::kThreadSafeReads) {
+    return Status::InvalidArgument(
+        "this tree type is not safe for concurrent reads; run with one "
+        "thread");
+  }
+  return Status::OK();
+}
+
 /// Where a RunTaskList run stands at a boundary.
 template <typename Tree>
 struct TaskBoundary {
@@ -202,18 +221,11 @@ JoinStats RunTaskList(
     return out;
   }
 
-  if (options.tracker != nullptr) {
-    // Trackers are single-threaded; silently ignoring one would misreport
-    // the access counts the caller asked for.
-    return finish(Status::InvalidArgument(
-        "node-access tracking (options.tracker) is not supported in "
-        "parallel mode; run with one thread instead"));
-  }
+  const Status supported = CheckParallelSupported<Tree>(options, threads);
   if constexpr (!Tree::kThreadSafeReads) {
-    return finish(Status::InvalidArgument(
-        "this tree type is not safe for concurrent reads; run with one "
-        "thread"));
+    return finish(supported);
   } else {
+    if (!supported.ok()) return finish(supported);
     const uint64_t round_span = TaskTarget(parallel);
     CSJ_METRIC_COUNT("parallel.joins", 1);
     CSJ_METRIC_COUNT("parallel.workers", static_cast<uint64_t>(threads));
@@ -325,15 +337,15 @@ JoinStats RunTaskList(
 
 }  // namespace internal
 
-/// Threaded self-join (SSJ, N-CSJ or CSJ(g)) into a caller-owned sink.
-/// Lossless like the sequential join and deterministic for a given thread
-/// count and task granularity; group composition differs from the
-/// sequential run. Returns aggregated statistics (elapsed = wall time of the
-/// executor; work counters summed over workers). On failure the sink holds
-/// the rounds replayed before it; the caller still owns sink->Finish().
+/// Threaded CSJ(g) self-join into a caller-owned sink. Lossless like the
+/// sequential join and deterministic for a given thread count and task
+/// granularity; group composition differs from the sequential run. Returns
+/// aggregated statistics (elapsed = wall time of the executor; work counters
+/// summed over workers). On failure the sink holds the rounds replayed
+/// before it; the caller still owns sink->Finish().
 template <SpatialIndex Tree>
-JoinStats ParallelSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
-                           const JoinOptions& options, JoinSink* sink,
+JoinStats ParallelSelfJoin(const Tree& tree, const JoinOptions& options,
+                           JoinSink* sink,
                            ParallelJoinOptions parallel = ParallelJoinOptions()) {
   static_assert(Tree::kThreadSafeReads,
                 "this tree type is not safe for concurrent reads; load it "
@@ -346,7 +358,8 @@ JoinStats ParallelSelfJoin(const Tree& tree, JoinAlgorithm algorithm,
   const auto tasks = internal::BuildTaskList(
       tree, options.epsilon, internal::TaskTarget(parallel), options.exec);
   return internal::RunTaskList(
-      tree, algorithm, options, sink, tasks, /*first_task=*/0, parallel,
+      tree, JoinAlgorithm::kCSJ, options, sink, tasks, /*first_task=*/0,
+      parallel,
       [](const internal::TaskBoundary<Tree>&) { return Status::OK(); });
 }
 

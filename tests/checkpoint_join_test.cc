@@ -15,6 +15,7 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "index/bulk_load.h"
+#include "index/node_access.h"
 #include "index/rstar_tree.h"
 #include "storage/checkpoint.h"
 #include "util/failpoint.h"
@@ -359,6 +360,29 @@ TEST_F(CheckpointJoinTest, EmptyManifestPathIsRejected) {
   const JoinStats stats =
       CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, Options(), spec, ckpt);
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointJoinTest, ThreadedTrackerIsRejectedBeforeTheOutputOpens) {
+  // Regression: the rejection must come before the sink opens spec.path in
+  // place, or it truncates whatever file is already there.
+  const auto spec = Spec(OutputFormat::kText, "ckj_tracker.txt");
+  const std::string existing = "earlier output\n";
+  {
+    std::FILE* f = std::fopen(spec.path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(existing.c_str(), f);
+    std::fclose(f);
+  }
+  NodeAccessTracker tracker(/*nodes_per_page=*/4, /*cache_pages=*/64);
+  JoinOptions options = Options();
+  options.tracker = &tracker;
+  const auto ckpt = Ckpt("ckj_tracker.ckpt", /*threads=*/2);
+  const JoinStats stats =
+      CheckpointedSelfJoin(tree_, JoinAlgorithm::kCSJ, options, spec, ckpt);
+  EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument)
+      << stats.status.ToString();
+  EXPECT_EQ(ReadWholeFile(spec.path), existing);
+  EXPECT_FALSE(FileExists(ckpt.manifest_path));
 }
 
 #ifndef CSJ_NO_FAILPOINTS

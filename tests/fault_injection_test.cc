@@ -193,7 +193,7 @@ TEST_F(FaultInjectionTest, ParallelJoinReportsReplayWriteFaultAndLeavesNoFile) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, DenseOptions(), &sink, parallel);
+      ParallelSelfJoin(tree, DenseOptions(), &sink, parallel);
   EXPECT_FALSE(stats.status.ok());
   EXPECT_FALSE(sink.Finish().ok());
   ExpectNoOutputArtifacts(path);
@@ -207,7 +207,7 @@ TEST_F(FaultInjectionTest, ParallelWorkerExceptionIsCapturedNotFatal) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, DenseOptions(), &sink, parallel);
+      ParallelSelfJoin(tree, DenseOptions(), &sink, parallel);
   EXPECT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInternal);
   EXPECT_NE(stats.status.message().find("injected worker fault"),
@@ -224,7 +224,7 @@ TEST_F(FaultInjectionTest, ParallelJoinWithDeadSinkSkipsTheWork) {
   FileSink sink(IdWidthFor(entries_.size()), path);
   ASSERT_FALSE(sink.open_status().ok());
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, DenseOptions(), &sink);
+      ParallelSelfJoin(tree, DenseOptions(), &sink);
   EXPECT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.distance_computations, 0u);
   EXPECT_FALSE(sink.Finish().ok());

@@ -144,7 +144,7 @@ TEST(GovernanceTest, ParallelJoinHonorsCancel) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+      ParallelSelfJoin(tree, options, &sink, parallel);
   EXPECT_EQ(stats.status.code(), StatusCode::kCancelled);
   // A failed parallel join must not leak partial worker output.
   EXPECT_EQ(sink.num_links(), 0u);
@@ -164,7 +164,7 @@ TEST(GovernanceTest, ParallelJoinHonorsDeadline) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+      ParallelSelfJoin(tree, options, &sink, parallel);
   EXPECT_EQ(stats.status.code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -182,7 +182,7 @@ TEST(GovernanceTest, ParallelJoinHonorsBudget) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+      ParallelSelfJoin(tree, options, &sink, parallel);
   EXPECT_EQ(stats.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(budget.used(), 0u);
 }

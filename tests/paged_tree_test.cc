@@ -273,7 +273,7 @@ TEST(PagedTreeTest, ParallelJoinOverPagedTreeIsLossless) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   const JoinStats stats =
-      ParallelSelfJoin(*paged, JoinAlgorithm::kCSJ, options, &sink, parallel);
+      ParallelSelfJoin(*paged, options, &sink, parallel);
   ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
   const auto report = CompareLinkSets(
       ExpandSelfJoin(sink), BruteForceSelfJoin(entries, options.epsilon));

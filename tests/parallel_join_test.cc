@@ -86,7 +86,7 @@ TEST(ParallelJoinTest, LosslessAcrossThreadCounts) {
       parallel.threads = threads;
       MemorySink sink(IdWidthFor(entries.size()));
       const JoinStats stats =
-          ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+          ParallelSelfJoin(tree, options, &sink, parallel);
       const auto report = CompareLinkSets(ExpandSelfJoin(sink), reference);
       ASSERT_TRUE(report.lossless())
           << "threads=" << threads << " eps=" << eps << ": "
@@ -112,7 +112,7 @@ TEST(ParallelJoinTest, OutputAsCompactAsSequentialWithinSlack) {
   ParallelJoinOptions parallel;
   parallel.threads = 4;
   CountingSink parallel_sink(IdWidthFor(entries.size()));
-  ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &parallel_sink, parallel);
+  ParallelSelfJoin(tree, options, &parallel_sink, parallel);
 
   EXPECT_LT(parallel_sink.bytes(),
             static_cast<uint64_t>(1.5 * static_cast<double>(sequential.bytes())));
@@ -127,7 +127,7 @@ TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
     RStarTree<2> tree;  // empty
     MemorySink sink(1);
     const JoinStats stats =
-        ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+        ParallelSelfJoin(tree, options, &sink, parallel);
     EXPECT_EQ(stats.links + stats.groups, 0u);
   }
   {
@@ -135,7 +135,7 @@ TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
     tree.Insert(0, Point2{{0.5, 0.5}});
     MemorySink sink(1);
     const JoinStats stats =
-        ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+        ParallelSelfJoin(tree, options, &sink, parallel);
     EXPECT_EQ(stats.links + stats.groups, 0u);
   }
   {
@@ -143,7 +143,7 @@ TEST(ParallelJoinTest, SmallAndDegenerateInputs) {
     tree.Insert(0, Point2{{0.5, 0.5}});
     tree.Insert(1, Point2{{0.52, 0.5}});
     MemorySink sink(1);
-    ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+    ParallelSelfJoin(tree, options, &sink, parallel);
     EXPECT_EQ(ExpandSelfJoin(sink), (std::vector<Link>{{0, 1}}));
   }
 }
@@ -158,7 +158,7 @@ TEST(ParallelJoinTest, MoreThreadsThanTasks) {
   ParallelJoinOptions parallel;
   parallel.threads = 16;
   MemorySink sink(2);
-  ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+  ParallelSelfJoin(tree, options, &sink, parallel);
   EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
@@ -171,7 +171,7 @@ TEST(ParallelJoinTest, PackedTreeWorks) {
   JoinOptions options;
   options.epsilon = 0.02;
   MemorySink sink(IdWidthFor(entries.size()));
-  ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink);
+  ParallelSelfJoin(tree, options, &sink);
   EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
@@ -187,7 +187,7 @@ TEST(ParallelJoinTest, WindowOptionsRespected) {
   options.promote_on_merge = true;
   options.window_size = 3;
   MemorySink sink(IdWidthFor(entries.size()));
-  const JoinStats stats = ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink);
+  const JoinStats stats = ParallelSelfJoin(tree, options, &sink);
   EXPECT_TRUE(CompareLinkSets(ExpandSelfJoin(sink),
                               BruteForceSelfJoin(entries, options.epsilon))
                   .lossless());
@@ -215,7 +215,7 @@ TEST(ParallelJoinTest, WorkCountersSurviveSinkDeathMidReplay) {
 
   MemorySink healthy(IdWidthFor(entries.size()));
   const JoinStats reference =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &healthy, parallel);
+      ParallelSelfJoin(tree, options, &healthy, parallel);
   ASSERT_TRUE(reference.status.ok());
   ASSERT_GT(healthy.num_links() + healthy.num_groups(), 8u)
       << "workload too small to die mid-replay";
@@ -223,7 +223,7 @@ TEST(ParallelJoinTest, WorkCountersSurviveSinkDeathMidReplay) {
   // Die a few writes in: several workers' outputs never reach the sink.
   DyingSink dying(IdWidthFor(entries.size()), 5);
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &dying, parallel);
+      ParallelSelfJoin(tree, options, &dying, parallel);
   EXPECT_FALSE(stats.status.ok());
 
   // The traversal completed before the replay started, so the work counters
@@ -251,7 +251,7 @@ TEST(ParallelJoinTest, ImpliedCountMatchesAcceptedWritesOnSinkDeath) {
   for (uint64_t budget : {0ull, 1ull, 7ull, 100ull}) {
     DyingSink sink(IdWidthFor(entries.size()), budget);
     const JoinStats stats =
-        ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+        ParallelSelfJoin(tree, options, &sink, parallel);
     EXPECT_FALSE(stats.status.ok()) << "budget=" << budget;
     EXPECT_EQ(stats.ImpliedLinkUpperBound(), ImpliedFromRetained(sink))
         << "budget=" << budget;
@@ -273,7 +273,7 @@ TEST(ParallelJoinTest, TrackerRejectedWithStatusNotACrash) {
   parallel.threads = 4;
   MemorySink sink(IdWidthFor(entries.size()));
   const JoinStats stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+      ParallelSelfJoin(tree, options, &sink, parallel);
   ASSERT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(sink.num_links() + sink.num_groups(), 0u);
@@ -305,7 +305,7 @@ TEST(ParallelJoinTest, ImpliedLinkCountConsistentInBothModes) {
   parallel.threads = 4;
   MemorySink par_sink(IdWidthFor(entries.size()));
   const JoinStats par_stats =
-      ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &par_sink, parallel);
+      ParallelSelfJoin(tree, options, &par_sink, parallel);
   ASSERT_TRUE(par_stats.status.ok());
   EXPECT_EQ(par_stats.ImpliedLinkUpperBound(), ImpliedFromRetained(par_sink));
   EXPECT_GE(par_stats.ImpliedLinkUpperBound(),
@@ -354,7 +354,7 @@ TEST(ParallelJoinTest, DeterministicForAGivenThreadCount) {
       const std::string path = dir + "/csj_par_det.txt";
       FileSink sink(id_width, path);
       const JoinStats stats =
-          ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+          ParallelSelfJoin(tree, options, &sink, parallel);
       ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
       ASSERT_TRUE(sink.Finish().ok());
       const std::string bytes = ReadWholeFile(path);
@@ -415,7 +415,7 @@ TEST(ParallelJoinTest, ThreadedJoinsRecordParallelMetricsOnce) {
   };
   expect_one_join("ParallelSelfJoin", [&] {
     CountingSink sink(IdWidthFor(entries.size()));
-    return ParallelSelfJoin(tree, JoinAlgorithm::kCSJ, options, &sink, parallel);
+    return ParallelSelfJoin(tree, options, &sink, parallel);
   });
   expect_one_join("CheckpointedSelfJoin", [&] {
     OutputSpec spec = OutputSpec::Counting(entries.size());
