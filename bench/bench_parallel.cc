@@ -64,8 +64,8 @@ void Main(const BenchArgs& args) {
   std::printf(
       "Expected: speedup well below linear. Task i runs on worker "
       "i %% threads in rounds of threads x 16 tasks, so one heavy task "
-      "stalls its round (measured on a 4-core host: about 1.2-1.35x at 2 "
-      "threads, 1.8-2.1x at 4 and 8; on a single-core box every row shows "
+      "stalls its round (measured on a 4-core host: about 1.2-1.4x at 2 "
+      "threads, 1.8-2.2x at 4 and 8; on a single-core box every row shows "
       "only the round overhead). Output is deterministic for a given thread "
       "count and its size stays within a fraction of a percent of "
       "sequential (per-worker, per-round windows lose some cross-task "
