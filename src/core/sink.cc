@@ -39,7 +39,7 @@ FileSink::FileSink(int id_width, std::string path, const Options& options)
   open_status_ = options.fd >= 0 ? file_.OpenFd(options.fd, file_options)
                                  : file_.Open(path_, file_options);
   SetError(open_status_);
-  scratch_.reserve(256);
+  stage_.reserve(kTextStageBytes);
 }
 
 FileSink::FileSink(int id_width, std::string path, const Options& options,
@@ -53,52 +53,42 @@ FileSink::FileSink(int id_width, std::string path, const Options& options,
       file_.OpenForResume(path_, resume.committed_bytes, file_options);
   SetError(open_status_);
   if (open_status_.ok()) RestoreAccounting(resume);
-  scratch_.reserve(256);
+  stage_.reserve(kTextStageBytes);
 }
 
-void FileSink::AppendId(PointId id, char terminator) {
-  // Zero-padded fixed-width decimal, hand-rolled to avoid per-id allocation.
-  char buf[24];
-  int pos = 24;
-  uint64_t v = id;
-  do {
-    buf[--pos] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  int digits = 24 - pos;
-  for (int i = digits; i < id_width(); ++i) scratch_.push_back('0');
-  scratch_.append(buf + pos, buf + 24);
-  scratch_.push_back(terminator);
-}
-
-bool FileSink::ShouldWrite(size_t ids) {
-  if (options_.cap_bytes == 0) return true;
-  if (file_.bytes_written() + ids * static_cast<uint64_t>(id_width() + 1) >
-      options_.cap_bytes) {
+bool FileSink::Reserve(size_t ids) {
+  const uint64_t record = ids * static_cast<uint64_t>(id_width() + 1);
+  if (options_.cap_bytes != 0 &&
+      materialized_bytes() + record > options_.cap_bytes) {
     truncated_ = true;
     return false;
   }
-  return true;
+  if (stage_.size() + record > kTextStageBytes) FlushStage();
+  return error().ok();
+}
+
+void FileSink::FlushStage() {
+  if (stage_.empty()) return;
+  SetError(file_.Append(stage_));
+  stage_.clear();
 }
 
 void FileSink::DoLink(PointId a, PointId b) {
-  if (!ShouldWrite(2)) return;
-  scratch_.clear();
-  AppendId(a, ' ');
-  AppendId(b, '\n');
-  SetError(file_.Append(scratch_));
+  if (!Reserve(2)) return;
+  AppendPaddedId(a, id_width(), ' ', &stage_);
+  AppendPaddedId(b, id_width(), '\n', &stage_);
 }
 
 void FileSink::DoGroup(std::span<const PointId> members) {
-  if (!ShouldWrite(members.size())) return;
-  scratch_.clear();
+  if (!Reserve(members.size())) return;
   for (size_t i = 0; i < members.size(); ++i) {
-    AppendId(members[i], i + 1 == members.size() ? '\n' : ' ');
+    AppendPaddedId(members[i], id_width(),
+                   i + 1 == members.size() ? '\n' : ' ', &stage_);
   }
-  SetError(file_.Append(scratch_));
 }
 
 Status FileSink::Finish() {
+  if (error().ok()) FlushStage();
   if (!error().ok()) {
     // The OutputFile already cleaned up its partial file when it failed (or
     // will in its destructor if the error came from elsewhere).
@@ -113,8 +103,11 @@ Status FileSink::Checkpoint(checkpoint::SinkState* state) {
   if (!error().ok()) return error();
   CSJ_CHECK(options_.checkpointable)
       << "Checkpoint on a non-checkpointable file sink: " << path_;
-  // Text records are appended whole, so after a sync every counted byte is
-  // durable and bytes_written() is a record-boundary resume point.
+  // Text records are staged and appended whole, so after the stage is
+  // flushed and synced every counted byte is durable and bytes_written() is
+  // a record-boundary resume point.
+  FlushStage();
+  if (!error().ok()) return error();
   SetError(file_.Sync());
   if (!error().ok()) return error();
   ExportAccounting(state);

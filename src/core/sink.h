@@ -229,7 +229,13 @@ class CountingSink final : public JoinSink {
   void DoGroup(std::span<const PointId>) override {}
 };
 
-/// Writes the paper's text format to a file through a buffered OutputFile.
+/// Writes the paper's text format to a file through an OutputFile.
+///
+/// Records are encoded into a kTextStageBytes stage and handed to the file
+/// one whole block per Append; a record that would take the stage past the
+/// block size flushes it first, so records never split across appends.
+/// Finish() and Checkpoint() flush the stage before anything else, and the
+/// staged bytes count as materialized (they are committed to the output).
 ///
 /// Robust by default: the file is written atomically (temp + rename in
 /// Finish), every I/O error — including a failed Open — becomes the sink's
@@ -272,16 +278,14 @@ class FileSink final : public JoinSink {
   /// otherwise the close/rename status.
   Status Finish() override;
 
-  /// Flush + fsync, then records the durable record-boundary offset.
+  /// Flushes the stage, then fsync, then records the durable
+  /// record-boundary offset.
   Status Checkpoint(checkpoint::SinkState* state) override;
 
   const std::string& path() const { return path_; }
-  /// Bytes actually written so far (matches bytes() after Finish() unless
-  /// capped).
-  uint64_t file_bytes() const { return file_.bytes_written(); }
-  uint64_t materialized_bytes() const override {
-    return file_.bytes_written();
-  }
+  /// Bytes written or staged so far (matches bytes() unless capped).
+  uint64_t file_bytes() const { return file_.bytes_written() + stage_.size(); }
+  uint64_t materialized_bytes() const override { return file_bytes(); }
   bool truncated() const override { return truncated_; }
   /// Status of the Open performed by the constructor (also sets error()).
   const Status& open_status() const { return open_status_; }
@@ -291,15 +295,19 @@ class FileSink final : public JoinSink {
   void DoGroup(std::span<const PointId> members) override;
 
  private:
-  void AppendId(PointId id, char terminator);
-  bool ShouldWrite(size_t ids);
+  /// Makes room for a record of `ids` ids: flushes the stage first when the
+  /// record would overflow it. False if the cap drops the record or the
+  /// flush failed.
+  bool Reserve(size_t ids);
+  /// Hands the staged block to the file in one Append.
+  void FlushStage();
 
   std::string path_;
   Options options_;
   OutputFile file_;
   Status open_status_;
   bool truncated_ = false;
-  std::string scratch_;
+  std::string stage_;  ///< encoded records not yet handed to file_
 };
 
 /// Writes the CSJ2 compact binary format (storage/binary_format.h) through

@@ -30,9 +30,10 @@ namespace csj::serve {
 namespace {
 
 /// Runs a governed range query (all points within eps of a center) over the
-/// shared tree, streaming fixed-width ids in tree order. Counts land in the
-/// JoinStats `links` / `output_bytes` fields so the trailer shape matches
-/// joins.
+/// shared tree, streaming fixed-width ids in tree order. Ids are staged and
+/// appended in blocks of at most kTextStageBytes, the FileSink rule. Counts
+/// land in the JoinStats `links` / `output_bytes` fields so the trailer shape
+/// matches joins.
 Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
                      const ExecContext& exec, JoinStats* stats) {
   if (req.center.size() != static_cast<size_t>(kServeDim)) {
@@ -47,6 +48,8 @@ Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
   CSJ_RETURN_IF_ERROR(out.OpenFd(fd, OutputFile::Options{.atomic = false}));
 
   const auto& tree = dataset.tree;
+  const size_t record_bytes = static_cast<size_t>(dataset.id_width) + 1;
+  std::string stage;
   Status result;
   std::vector<NodeId> stack;
   if (tree.Root() != kInvalidNode) stack.push_back(tree.Root());
@@ -61,9 +64,12 @@ Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
       for (const auto& entry : tree.Entries(n, &exec)) {
         if (Distance(center, entry.point) > req.spec.eps) continue;
         ++stats->links;
-        result = out.Append(
-            StrFormat("%0*u\n", dataset.id_width, entry.id));
-        if (!result.ok()) break;
+        if (stage.size() + record_bytes > kTextStageBytes) {
+          result = out.Append(stage);
+          stage.clear();
+          if (!result.ok()) break;
+        }
+        AppendPaddedId(entry.id, dataset.id_width, '\n', &stage);
       }
       if (!result.ok()) break;
     } else {
@@ -73,6 +79,12 @@ Status RunRangeQuery(int fd, const Request& req, const Dataset& dataset,
         }
       }
     }
+  }
+  // A stopped query still delivers every id it counted; a failed append
+  // leaves the stream dead.
+  if (out.status().ok() && !stage.empty()) {
+    const Status flushed = out.Append(stage);
+    if (result.ok()) result = flushed;
   }
   stats->output_bytes = out.bytes_written();
   const Status closed = out.Close();

@@ -57,9 +57,6 @@ Status OutputFile::Open(const std::string& path, const Options& options) {
                               ErrnoSuffix());
     return status_;
   }
-  // A generous stdio buffer keeps write syscalls off the join's hot path,
-  // matching what a tuned DB output writer would do.
-  std::setvbuf(file_, nullptr, _IOFBF, 1 << 20);
   return Status::OK();
 }
 
@@ -89,7 +86,6 @@ Status OutputFile::OpenFd(int fd, const Options& options) {
     ::close(owned);
     return status_;
   }
-  std::setvbuf(file_, nullptr, _IOFBF, 1 << 20);
   return Status::OK();
 }
 
@@ -136,7 +132,6 @@ Status OutputFile::OpenForResume(const std::string& path, uint64_t keep_bytes,
                               ErrnoSuffix());
     return status_;
   }
-  std::setvbuf(file_, nullptr, _IOFBF, 1 << 20);
   bytes_written_ = keep_bytes;
   CSJ_METRIC_COUNT("output_file.resumes", 1);
   return Status::OK();

@@ -41,6 +41,13 @@
 
 namespace csj {
 
+/// Size of the block text writers stage before one Append: FileSink and the
+/// served range stream encode whole records into a buffer of this size and
+/// hand it over in one call, so the per-Append cost (timer, retry
+/// controller, failpoint checks, locked fwrite, metrics) is paid per block,
+/// not per record. Records never split across appends.
+inline constexpr size_t kTextStageBytes = 64 << 10;
+
 /// Append-only buffered writer. Not thread safe.
 class OutputFile {
  public:

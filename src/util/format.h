@@ -18,6 +18,26 @@ int DecimalWidth(uint64_t max_value);
 /// Values wider than `width` are printed in full.
 std::string ZeroPad(uint64_t value, int width);
 
+/// Appends `value` zero-padded to `width` decimal digits, then `terminator`
+/// (a separator or newline), to `out`: one field of the paper's text output
+/// format, e.g. AppendPaddedId(7, 4, ' ', &s) appends "0007 ". Values wider
+/// than `width` are written in full. The one id encoder behind every text
+/// stream the engine writes (FileSink, served range results).
+inline void AppendPaddedId(uint64_t value, int width, char terminator,
+                           std::string* out) {
+  char buf[24];
+  char* const end = buf + sizeof(buf);
+  char* pos = end;
+  *--pos = terminator;
+  do {
+    *--pos = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  const int digits = static_cast<int>(end - pos) - 1;
+  if (digits < width) out->append(static_cast<size_t>(width - digits), '0');
+  out->append(pos, end);
+}
+
 /// "1.21 GB", "532 B", ... (powers of 1024).
 std::string HumanBytes(uint64_t bytes);
 

@@ -74,6 +74,24 @@ class FaultInjectionTest : public testing::Test {
     return options;
   }
 
+  /// Text bytes a healthy run of `algorithm` over `tree` emits.
+  uint64_t HealthyBytes(JoinAlgorithm algorithm, const RStarTree<2>& tree) {
+    CountingSink sink(IdWidthFor(entries_.size()));
+    EXPECT_TRUE(RunSelfJoin(algorithm, tree, DenseOptions(), &sink).status.ok());
+    return sink.bytes();
+  }
+
+  /// The text sink stages records into 64 KiB blocks, so `output_file.append`
+  /// fires once per block. A fault that only reached the final flush in
+  /// Finish() would leave the join itself untouched: assert that it hit
+  /// mid-join instead — the sink accepted some output, but less than a
+  /// healthy run.
+  void ExpectFaultHitMidJoin(const JoinSink& sink, uint64_t healthy_bytes) {
+    EXPECT_GT(sink.bytes(), 0u) << "the fault fired before any output";
+    EXPECT_LT(sink.bytes(), healthy_bytes)
+        << "the join ran to completion: the fault did not hit mid-join";
+  }
+
   std::vector<Entry<2>> entries_;
 };
 
@@ -82,7 +100,7 @@ class FaultInjectionTest : public testing::Test {
 TEST_F(FaultInjectionTest, SequentialJoinReportsWriteFaultAndLeavesNoFile) {
   const auto tree = BuildTree();
   const std::string path = testing::TempDir() + "/csj_fault_seq.txt";
-  // Let a handful of writes land, then fail: the fault hits mid-join.
+  // Let a handful of staged blocks land, then fail: the fault hits mid-join.
   failpoint::ScopedFailpoint fp("output_file.append",
                                 failpoint::Spec::EveryNth(5));
   FileSink sink(IdWidthFor(entries_.size()), path);
@@ -90,6 +108,7 @@ TEST_F(FaultInjectionTest, SequentialJoinReportsWriteFaultAndLeavesNoFile) {
   const JoinStats stats = CompactSimilarityJoin(tree, DenseOptions(), &sink);
   EXPECT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kIoError);
+  ExpectFaultHitMidJoin(sink, HealthyBytes(JoinAlgorithm::kCSJ, tree));
   EXPECT_FALSE(sink.Finish().ok());
   ExpectNoOutputArtifacts(path);
 }
@@ -98,11 +117,13 @@ TEST_F(FaultInjectionTest, AllThreeAlgorithmsSurviveWriteFaults) {
   const auto tree = BuildTree();
   for (const JoinAlgorithm algorithm :
        {JoinAlgorithm::kSSJ, JoinAlgorithm::kNCSJ, JoinAlgorithm::kCSJ}) {
+    const uint64_t healthy = HealthyBytes(algorithm, tree);
     failpoint::Enable("output_file.append", failpoint::Spec::EveryNth(3));
     const std::string path = testing::TempDir() + "/csj_fault_algo.txt";
     FileSink sink(IdWidthFor(entries_.size()), path);
     const JoinStats stats = RunSelfJoin(algorithm, tree, DenseOptions(), &sink);
     EXPECT_FALSE(stats.status.ok()) << JoinAlgorithmName(algorithm);
+    ExpectFaultHitMidJoin(sink, healthy);
     EXPECT_FALSE(sink.Finish().ok()) << JoinAlgorithmName(algorithm);
     ExpectNoOutputArtifacts(path);
     failpoint::DisableAll();
@@ -114,20 +135,21 @@ TEST_F(FaultInjectionTest, SequentialJoinAbortsTraversalEarlyOnDeadSink) {
   const std::string path = testing::TempDir() + "/csj_fault_abort.txt";
 
   // Reference run: how much work does a healthy join do? SSJ writes every
-  // link straight to the sink, so the fault below hits immediately.
+  // link straight to the sink, so the fault below hits with the first block.
   FileSink healthy(IdWidthFor(entries_.size()), path);
   const JoinStats full =
       StandardSimilarityJoin(tree, DenseOptions(), &healthy);
   ASSERT_TRUE(healthy.Finish().ok());
   std::remove(path.c_str());
 
-  // Faulty run: the very first write fails, so the traversal should abort
-  // long before doing the full join's distance work.
+  // Faulty run: the first staged block's write fails, so the traversal
+  // should abort long before doing the full join's distance work.
   failpoint::ScopedFailpoint fp("output_file.append", failpoint::Spec::Once());
   FileSink sink(IdWidthFor(entries_.size()), path);
   const JoinStats aborted =
       StandardSimilarityJoin(tree, DenseOptions(), &sink);
   EXPECT_FALSE(aborted.status.ok());
+  ExpectFaultHitMidJoin(sink, healthy.bytes());
   EXPECT_FALSE(sink.Finish().ok());
   ExpectNoOutputArtifacts(path);
   EXPECT_LT(aborted.distance_computations, full.distance_computations / 2)
@@ -195,6 +217,7 @@ TEST_F(FaultInjectionTest, ParallelJoinReportsReplayWriteFaultAndLeavesNoFile) {
   const JoinStats stats =
       ParallelSelfJoin(tree, DenseOptions(), &sink, parallel);
   EXPECT_FALSE(stats.status.ok());
+  ExpectFaultHitMidJoin(sink, HealthyBytes(JoinAlgorithm::kCSJ, tree));
   EXPECT_FALSE(sink.Finish().ok());
   ExpectNoOutputArtifacts(path);
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <csignal>
 #include <string>
 #include <vector>
 
@@ -296,6 +299,90 @@ TEST(FileSinkTest, CapStopsWritingButKeepsCounting) {
   ASSERT_TRUE(sink->Finish().ok());
   EXPECT_EQ(FileSize(path), 30u);
   std::remove(path.c_str());
+}
+
+// --- The text stage: records staged into kTextStageBytes blocks -----------
+
+TEST(FileSinkTest, RecordsStraddlingStageBoundaryReadBackIdentical) {
+  // Enough links and groups to fill the stage several times over, including
+  // a group larger than a whole stage and ids wider than the pad width, so
+  // records land on, just before and across every block boundary.
+  const std::string path = testing::TempDir() + "/csj_sink_stage.txt";
+  const int width = 5;
+  FileSink sink(width, path);
+  ASSERT_TRUE(sink.open_status().ok());
+  std::string expected;
+  Rng rng(29);
+  for (int i = 0; i < 40000; ++i) {
+    const auto id = [&] {
+      // Mostly in-width ids, a few wider than the pad width.
+      return static_cast<PointId>(rng.Bernoulli(0.01)
+                                      ? 100000 + rng.UniformInt(uint64_t{900})
+                                      : rng.UniformInt(uint64_t{99999}));
+    };
+    std::vector<PointId> record(i == 20000 ? 13000
+                                           : 2 + rng.UniformInt(uint64_t{5}));
+    for (auto& member : record) member = id();
+    if (record.size() == 2) {
+      sink.Link(record[0], record[1]);
+    } else {
+      sink.Group(record);
+    }
+    for (size_t k = 0; k < record.size(); ++k) {
+      expected += ZeroPad(record[k], width);
+      expected += k + 1 == record.size() ? '\n' : ' ';
+    }
+  }
+  ASSERT_GT(expected.size(), 4 * kTextStageBytes);
+  EXPECT_EQ(sink.file_bytes(), expected.size());  // staged bytes included
+  ASSERT_TRUE(sink.Finish().ok());
+  EXPECT_TRUE(ReadWholeFile(path) == expected)
+      << "staged text output differs from the per-record encoding";
+  std::remove(path.c_str());
+}
+
+TEST(FileSinkTest, CheckpointFlushesPartlyFilledStage) {
+  const std::string path = testing::TempDir() + "/csj_sink_stage_ckpt.txt";
+  FileSink::Options options;
+  options.checkpointable = true;
+  FileSink sink(4, path, options);
+  ASSERT_TRUE(sink.open_status().ok());
+  // One full block handed over plus a partly filled stage: 10 B per link.
+  const uint64_t links = kTextStageBytes / 10 + 100;
+  for (PointId i = 0; i < links; ++i) sink.Link(i % 10000, (i + 1) % 10000);
+  checkpoint::SinkState state;
+  ASSERT_TRUE(sink.Checkpoint(&state).ok());
+  EXPECT_EQ(state.committed_bytes, links * 10);
+  EXPECT_EQ(state.committed_bytes, sink.bytes());
+  EXPECT_EQ(FileSize(path), state.committed_bytes)
+      << "Checkpoint() left staged bytes off the disk";
+  ASSERT_TRUE(sink.Finish().ok());
+  EXPECT_EQ(FileSize(path), links * 10);
+  std::remove(path.c_str());
+}
+
+TEST(FileSinkTest, PipeWithClosedReaderEndsInStickyCancelled) {
+  // A consumer that hangs up (`csj_tool join | head`, a client disconnect)
+  // surfaces as EPIPE on the first staged block that reaches the pipe.
+  std::signal(SIGPIPE, SIG_IGN);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[0]);
+  FileSink::Options options;
+  options.fd = fds[1];
+  FileSink sink(4, "<pipe>", options);
+  ::close(fds[1]);  // the sink writes through its own duplicate
+  ASSERT_TRUE(sink.open_status().ok());
+  for (PointId i = 0; i < 2 * kTextStageBytes / 10; ++i) sink.Link(i, i + 1);
+  ASSERT_FALSE(sink.error().ok()) << "a full stage never reached the pipe";
+  EXPECT_EQ(sink.error().code(), StatusCode::kCancelled)
+      << sink.error().ToString();
+  // Sticky: nothing further is accepted, and Finish reports the same error.
+  const uint64_t accepted = sink.num_links();
+  EXPECT_LT(accepted, 2 * kTextStageBytes / 10);
+  sink.Link(1, 2);
+  EXPECT_EQ(sink.num_links(), accepted);
+  EXPECT_EQ(sink.Finish().code(), StatusCode::kCancelled);
 }
 
 TEST(BinaryFileSinkTest, AbandonedSinkLeavesNoFile) {

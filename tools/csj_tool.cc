@@ -56,8 +56,9 @@
 ///
 /// 2-D only (the common GIS case); the C++ API is dimension-generic.
 
+#include <unistd.h>
+
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -621,40 +622,31 @@ int CmdCat(Flags& flags) {
   }
 
   auto cursor = OpenCursorOrDie(result_path);
-  if (!out.empty()) {
-    OutputSpec spec;
-    spec.format = OutputFormat::kText;
+  OutputSpec spec;
+  spec.format = OutputFormat::kText;
+  spec.id_width = width;
+  if (out.empty()) {
+    spec.fd = STDOUT_FILENO;
+    spec.atomic = false;
+  } else {
     spec.path = out;
-    spec.id_width = width;
-    auto sink = MakeSink(spec);
-    DieOnError(sink.status());
-    DieOnError(ReplayResult(cursor.get(), sink->get()));
-    DieOnError((*sink)->Finish());
+  }
+  auto sink = MakeSink(spec);
+  DieOnError(sink.status());
+  Status status = ReplayResult(cursor.get(), sink->get());
+  if (status.ok()) status = (*sink)->Finish();
+  if (out.empty() && status.code() == StatusCode::kCancelled) {
+    // `csj_tool cat ... | head`: the consumer closed stdout. SIGPIPE is
+    // ignored process-wide, so the hangup is the sink's EPIPE → kCancelled —
+    // a consumer decision, not an error. Anything else still dies.
+    return 0;
+  }
+  DieOnError(status);
+  if (!out.empty()) {
     std::printf("decoded %s records to %s (width %d)\n",
                 WithThousands(cursor->links_read() + cursor->groups_read())
                     .c_str(),
                 out.c_str(), width);
-  } else {
-    bool consumer_gone = false;
-    while (!consumer_gone && cursor->Next()) {
-      const auto ids = cursor->record().ids;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        errno = 0;
-        if (std::printf("%0*u%c", width, ids[i],
-                        i + 1 == ids.size() ? '\n' : ' ') < 0) {
-          // `csj_tool cat ... | head`: the consumer closed stdout. SIGPIPE
-          // is ignored process-wide, so the hangup surfaces here as EPIPE —
-          // a consumer decision, not an error. Anything else still dies.
-          if (errno != EPIPE) {
-            Flags::Die(std::string("write to stdout failed: ") +
-                       std::strerror(errno));
-          }
-          consumer_gone = true;
-          break;
-        }
-      }
-    }
-    DieOnError(cursor->status());
   }
   return 0;
 }
